@@ -11,18 +11,17 @@
 //! Keys (all `key=value`): `scale` (tiny|small|medium), `seed`, `theta`,
 //! `method` (registry name/alias), `factor` or `target_users` (clone
 //! multiplier — `target_users` picks the smallest factor reaching it),
-//! `threads` (CSV of serve fan-outs), `kernel` (tiled|rows|both — `both`
-//! times each and cross-checks them bit-for-bit), `block` (tile block
-//! width, 0 = default), `repeat` (timing repetitions), `json` (BENCH_JSON
-//! export path; the `BENCH_JSON` env var works too).
+//! `threads` (CSV of serve fan-outs), `block` (tile block width, 0 =
+//! default), `repeat` (timing repetitions), `json` (BENCH_JSON export
+//! path; the `BENCH_JSON` env var works too).
 //!
 //! Verification (always on, exit 1 on violation):
 //!
-//! * **kernel determinism** — `expected_revenue(all)` and `assign(all)`
-//!   must be bit-identical across every requested thread count (§6) *and*
-//!   across kernels (`DESIGN.md` §12): with `kernel=both`, every user's
-//!   payment bits and held-offer list are compared between the tile
-//!   kernel and the row-walk reference;
+//! * **reference parity** — at every requested thread count,
+//!   `expected_revenue(all)` must match the row-walk reference
+//!   (`revmax_serve::reference`, `DESIGN.md` §12) bit for bit, and
+//!   `assign(all)` must match it on every user's payment bits and
+//!   held-offer list — which also makes the thread counts agree (§6);
 //! * **clone linearity** — cloned consumers are identical, so the scaled
 //!   revenue must equal `factor ×` the base-market revenue (up to
 //!   summation reassociation);
@@ -31,14 +30,15 @@
 //!
 //! Timings export in the `BENCH_JSON` interchange format with ids
 //! `serve_<scale>/x<factor>/{expected_revenue_t<N>, assign_t<N>,
-//! solver_eval, compile}` — the same flow `perf_check` gates (CI's
-//! `serve-smoke` leg).
+//! expected_revenue_t1_rows, assign_t1_rows, solver_eval, compile}` (the
+//! `_t1_rows` ids time the sequential reference) — the same flow
+//! `perf_check` gates (CI's `serve-smoke` leg).
 
 use revmax_core::algorithms::by_name;
 use revmax_dataset::scale::clone_users;
 use revmax_engine::report::{write_bench_json, BenchEntry};
 use revmax_engine::ScaleSpec;
-use revmax_serve::{KernelKind, MenuIndex};
+use revmax_serve::{reference, MenuIndex};
 use std::time::Instant;
 
 struct Args {
@@ -49,7 +49,6 @@ struct Args {
     factor: Option<usize>,
     target_users: usize,
     threads: Vec<usize>,
-    kernels: Vec<KernelKind>,
     block: usize,
     repeat: usize,
     json: Option<String>,
@@ -64,7 +63,6 @@ fn parse_args() -> Args {
         factor: None,
         target_users: 1_000_000,
         threads: vec![1, 2, 8],
-        kernels: vec![KernelKind::Tiled],
         block: 0,
         repeat: 3,
         json: std::env::var("BENCH_JSON").ok().filter(|p| !p.is_empty()),
@@ -73,8 +71,8 @@ fn parse_args() -> Args {
         if arg == "--help" || arg == "-h" {
             eprintln!(
                 "usage: serve_bench [scale=small] [seed=2015] [theta=0] [method=mixed_greedy] \
-                 [factor=N | target_users=1000000] [threads=1,2,8] [kernel=tiled|rows|both] \
-                 [block=N] [repeat=3] [json=FILE]"
+                 [factor=N | target_users=1000000] [threads=1,2,8] [block=N] [repeat=3] \
+                 [json=FILE]"
             );
             std::process::exit(0);
         }
@@ -103,14 +101,6 @@ fn parse_args() -> Args {
                     fail("threads list is empty");
                 }
             }
-            "kernel" => {
-                args.kernels = match value.trim() {
-                    "both" => vec![KernelKind::Tiled, KernelKind::Rows],
-                    other => vec![KernelKind::parse(other).unwrap_or_else(|_| {
-                        fail(&format!("bad kernel '{value}' (tiled|rows|both)"))
-                    })],
-                };
-            }
             "block" => args.block = parse_num(key, value),
             "repeat" => args.repeat = parse_num::<usize>(key, value).max(1),
             "json" => args.json = Some(value.into()),
@@ -124,7 +114,6 @@ fn parse_args() -> Args {
                     "factor",
                     "target_users",
                     "threads",
-                    "kernel",
                     "block",
                     "repeat",
                     "json",
@@ -218,94 +207,70 @@ fn main() {
 
     let users = index.all_users();
     let n = users.len();
+    let reps = args.repeat as u64;
     let mut failures = 0usize;
 
-    // Batched expected revenue and assignment at every requested kernel ×
-    // fan-out. All combinations must agree bit-for-bit: across thread
-    // counts (§6) and across kernels (`DESIGN.md` §12) — with
-    // `kernel=both` this is the tile-vs-rows parity gate CI runs.
-    let mut revenue_bits: Option<u64> = None;
-    let mut assign_baseline: Option<Vec<revmax_serve::Assignment>> = None;
-    for &kernel in &args.kernels {
-        // The tile kernel keeps the unsuffixed bench ids (`perf_check`
-        // gates those); the row-walk reference exports alongside.
-        let suffix = match kernel {
-            KernelKind::Tiled => "",
-            KernelKind::Rows => "_rows",
-        };
-        for &t in &args.threads {
-            let idx = index.clone().with_threads(t).with_kernel(kernel).with_block(args.block);
-            let (rev, min, mean, max) = timed(args.repeat, || idx.expected_revenue(&users));
-            entries.push(entry(
-                format!("{prefix}/expected_revenue_t{t}{suffix}"),
-                min,
-                mean,
-                max,
-                args.repeat as u64,
-            ));
-            println!(
-                "expected_revenue {:>5} t={t}: {:.2} in {:.1} ms (min) — {:.2}M users/s",
-                kernel.name(),
-                rev,
-                min as f64 / 1e6,
-                n as f64 / (min as f64 / 1e9) / 1e6
-            );
-            match revenue_bits {
-                None => revenue_bits = Some(rev.to_bits()),
-                Some(bits) if bits != rev.to_bits() => {
-                    eprintln!(
-                        "FAIL: expected_revenue ({} kernel, {t} threads) diverged: {rev} vs {}",
-                        kernel.name(),
-                        f64::from_bits(bits)
-                    );
-                    failures += 1;
-                }
-                Some(_) => {}
-            }
+    // The row-walk reference: sequential, so its timings export as
+    // `_t1_rows` ids; its results are the oracle every tiled combination
+    // below must match bit for bit.
+    let (served, min, mean, max) =
+        timed(args.repeat, || reference::expected_revenue(&index, &users));
+    entries.push(entry(format!("{prefix}/expected_revenue_t1_rows"), min, mean, max, reps));
+    println!(
+        "expected_revenue  rows t=1: {served:.2} in {:.1} ms (min) — {:.2}M users/s",
+        min as f64 / 1e6,
+        n as f64 / (min as f64 / 1e9) / 1e6
+    );
+    let (rows, min, mean, max) = timed(args.repeat, || reference::assign(&index, &users));
+    entries.push(entry(format!("{prefix}/assign_t1_rows"), min, mean, max, reps));
+    println!(
+        "assign            rows t=1: {} held offers in {:.1} ms (min) — {:.2}M users/s",
+        rows.iter().map(|a| a.offers.len()).sum::<usize>(),
+        min as f64 / 1e6,
+        n as f64 / (min as f64 / 1e9) / 1e6
+    );
 
-            // Batched assignment at the same combination. Per-user parity
-            // is the strong check: payment bits and the held-offer list
-            // must match the first combination exactly.
-            let (assignments, min, mean, max) = timed(args.repeat, || idx.assign(&users));
-            entries.push(entry(
-                format!("{prefix}/assign_t{t}{suffix}"),
-                min,
-                mean,
-                max,
-                args.repeat as u64,
-            ));
-            let offered: usize = assignments.iter().map(|a| a.offers.len()).sum();
-            println!(
-                "assign           {:>5} t={t}: {} assignments, {} held offers in {:.1} ms (min) — {:.2}M users/s",
-                kernel.name(),
-                assignments.len(),
-                offered,
-                min as f64 / 1e6,
-                n as f64 / (min as f64 / 1e9) / 1e6
+    // The tile kernel at every requested fan-out, checked against the
+    // reference on every user: revenue bits, payment bits, offer lists.
+    for &t in &args.threads {
+        let idx = index.clone().with_threads(t).with_block(args.block);
+        let (rev, min, mean, max) = timed(args.repeat, || idx.expected_revenue(&users));
+        entries.push(entry(format!("{prefix}/expected_revenue_t{t}"), min, mean, max, reps));
+        println!(
+            "expected_revenue tiled t={t}: {rev:.2} in {:.1} ms (min) — {:.2}M users/s",
+            min as f64 / 1e6,
+            n as f64 / (min as f64 / 1e9) / 1e6
+        );
+        if rev.to_bits() != served.to_bits() {
+            eprintln!("FAIL: expected_revenue ({t} threads) diverged: {rev} vs reference {served}");
+            failures += 1;
+        }
+
+        let (assignments, min, mean, max) = timed(args.repeat, || idx.assign(&users));
+        entries.push(entry(format!("{prefix}/assign_t{t}"), min, mean, max, reps));
+        println!(
+            "assign           tiled t={t}: {} assignments in {:.1} ms (min) — {:.2}M users/s",
+            assignments.len(),
+            min as f64 / 1e6,
+            n as f64 / (min as f64 / 1e9) / 1e6
+        );
+        let diverged = assignments.len().abs_diff(rows.len())
+            + rows
+                .iter()
+                .zip(&assignments)
+                .filter(|(a, b)| {
+                    a.user != b.user
+                        || a.payment.to_bits() != b.payment.to_bits()
+                        || a.offers != b.offers
+                })
+                .count();
+        if diverged > 0 {
+            eprintln!(
+                "FAIL: assign ({t} threads) diverged from the reference on {diverged} user(s)"
             );
-            match &assign_baseline {
-                None => assign_baseline = Some(assignments),
-                Some(base) => {
-                    let diverged = base
-                        .iter()
-                        .zip(&assignments)
-                        .filter(|(a, b)| {
-                            a.payment.to_bits() != b.payment.to_bits() || a.offers != b.offers
-                        })
-                        .count();
-                    if diverged > 0 {
-                        eprintln!(
-                            "FAIL: assign ({} kernel, {t} threads) diverged from the first \
-                             combination on {diverged} user(s)",
-                            kernel.name()
-                        );
-                        failures += 1;
-                    }
-                }
-            }
+            failures += 1;
         }
     }
-    let served = f64::from_bits(revenue_bits.expect("at least one thread count"));
 
     // Clone linearity: identical clones ⇒ revenue scales exactly with the
     // factor (up to summation reassociation).
@@ -322,7 +287,7 @@ fn main() {
     // (repeated like the serve queries — a single-rep minimum is too
     // noisy for the perf gate).
     let (solver, min, mean, max) = timed(args.repeat, || outcome.config.expected_revenue(&market));
-    entries.push(entry(format!("{prefix}/solver_eval"), min, mean, max, args.repeat as u64));
+    entries.push(entry(format!("{prefix}/solver_eval"), min, mean, max, reps));
     println!(
         "solver-side evaluation: {:.2} in {:.1} ms — serving matches within {:.1e}",
         solver,

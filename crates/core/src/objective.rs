@@ -7,7 +7,8 @@
 //! by a handful of extreme consumers, so a robust seller may prefer a
 //! lower **quantile** or **CVaR** of revenue instead. [`Objective`] makes
 //! that choice a first-class parameter threaded through pricing
-//! ([`crate::pricing::optimize_with`]), config evaluation
+//! (the `objective` field of [`crate::pricing::PricingCtx`], read by
+//! [`crate::pricing::optimize`]), config evaluation
 //! ([`crate::config::BundleConfig::revenue`]), the configurator registry
 //! ([`crate::algorithms::RegistryOptions`]), and — via
 //! [`crate::params::Params::fingerprint`] — every solve-cache key.

@@ -26,10 +26,12 @@
 //! lists (the "binary search (if arbitrary price levels)" variant §4.2
 //! mentions).
 //!
-//! All entry points are thin wrappers over [`optimize_with`], which takes
-//! the candidate source ([`Candidates`]) and the revenue statistic to
-//! maximize ([`Objective`]) as parameters: mean vs lower-quantile vs CVaR
-//! is a knob, not a function family. Robust objectives re-score each
+//! Both entry points ([`optimize`] and [`optimize_with_price_list`]) drop
+//! non-finite and non-positive WTPs through one shared filter, then
+//! maximize the revenue statistic named by [`PricingCtx::objective`]
+//! ([`Objective`]): mean vs lower-quantile vs CVaR is a field of the
+//! context, not a function family — override it with
+//! `PricingCtx { objective, ..ctx }`. Robust objectives re-score each
 //! candidate price against the per-user revenue distribution (see
 //! [`crate::objective`]); the exact mode stays exact because, within a
 //! constant-buyer-set price interval, every objective's utility is
@@ -143,49 +145,27 @@ fn fold_best(
     best
 }
 
-/// Where candidate prices come from: the mode-driven machinery (consumer
-/// valuations or the `T`-level grid per [`PricingCtx::mode`]) or an
-/// explicit arbitrary price list.
-#[derive(Debug, Clone, Copy)]
-pub enum Candidates<'a> {
-    /// Candidates per `ctx.mode`: valuations (exact) or the equi-spaced
-    /// grid.
-    Auto,
-    /// Score exactly these prices (must be positive and finite).
-    List(&'a [f64]),
+/// The finite positive entries of `values` — the only WTPs pricing
+/// considers. Non-finite WTPs cannot enter through
+/// [`crate::wtp::CsrBuilder`], but the public entry points accept
+/// arbitrary slices.
+fn finite_positive(values: &[f64]) -> Vec<f64> {
+    values.iter().copied().filter(|&w| w.is_finite() && w > 0.0).collect()
 }
 
-/// The one objective-aware pricing entry point: optimize the price for
-/// consumers with bundle WTPs `values` under an explicit [`Objective`]
-/// (overriding `ctx.objective`) and candidate source. Only finite
-/// positive WTP entries matter; zero/negative/non-finite entries are
-/// ignored — non-finite WTPs cannot enter through
-/// [`crate::wtp::CsrBuilder`], but this free-standing entry point accepts
-/// arbitrary slices. [`optimize`] and [`optimize_with_price_list`] are
-/// thin wrappers that pass `ctx.objective` through.
-pub fn optimize_with(
-    values: &[f64],
-    ctx: &PricingCtx,
-    objective: Objective,
-    candidates: Candidates<'_>,
-) -> PricedOutcome {
-    let ctx = PricingCtx { objective, ..*ctx };
-    let positive: Vec<f64> = values.iter().copied().filter(|&w| w.is_finite() && w > 0.0).collect();
+/// Optimize the price for consumers with bundle WTPs `values` under
+/// `ctx.objective`, with candidates per `ctx.mode`: consumer valuations
+/// (exact) or the equi-spaced grid. Zero, negative and non-finite entries
+/// are ignored.
+pub fn optimize(values: &[f64], ctx: &PricingCtx) -> PricedOutcome {
+    let positive = finite_positive(values);
     if positive.is_empty() {
         return PricedOutcome::zero();
     }
-    match candidates {
-        Candidates::Auto => match (ctx.mode, ctx.adoption.is_step()) {
-            (PriceMode::Exact, true) => optimize_exact_step(&positive, &ctx),
-            _ => optimize_grid(&positive, &ctx),
-        },
-        Candidates::List(prices) => optimize_price_list(&positive, &ctx, prices),
+    match (ctx.mode, ctx.adoption.is_step()) {
+        (PriceMode::Exact, true) => optimize_exact_step(&positive, ctx),
+        _ => optimize_grid(&positive, ctx),
     }
-}
-
-/// Optimize under the context's own objective with mode-driven candidates.
-pub fn optimize(values: &[f64], ctx: &PricingCtx) -> PricedOutcome {
-    optimize_with(values, ctx, ctx.objective, Candidates::Auto)
 }
 
 /// Exact optimum under step adoption: the optimal price is at some
@@ -336,17 +316,13 @@ fn optimize_grid(values: &[f64], ctx: &PricingCtx) -> PricedOutcome {
     best
 }
 
-/// Price search over an explicit, arbitrary price list (sorted or not).
-/// Scores every listed price exactly (no bucketing); `O(M · |list|)`.
-/// Thin wrapper over [`optimize_with`] with [`Candidates::List`].
+/// Price search over an explicit, arbitrary price list (sorted or not;
+/// entries must be positive and finite). Scores every listed price
+/// exactly (no bucketing); `O(M · |list|)`. WTPs are filtered as in
+/// [`optimize`].
 pub fn optimize_with_price_list(values: &[f64], ctx: &PricingCtx, prices: &[f64]) -> PricedOutcome {
-    optimize_with(values, ctx, ctx.objective, Candidates::List(prices))
-}
-
-/// List-candidate scoring; `positive` is already filtered to finite
-/// positive WTPs by [`optimize_with`].
-fn optimize_price_list(positive: &[f64], ctx: &PricingCtx, prices: &[f64]) -> PricedOutcome {
-    if prices.is_empty() {
+    let positive = finite_positive(values);
+    if positive.is_empty() || prices.is_empty() {
         return PricedOutcome::zero();
     }
     let m = positive.len() as f64;
@@ -356,7 +332,7 @@ fn optimize_price_list(positive: &[f64], ctx: &PricingCtx, prices: &[f64]) -> Pr
         assert!(price.is_finite() && price > 0.0, "price list entries must be positive");
         let mut buyers = 0.0;
         let mut surplus = 0.0;
-        for &w in positive {
+        for &w in &positive {
             let p_adopt = ctx.adoption.probability(w, price);
             buyers += p_adopt;
             surplus += p_adopt * (w - price);
@@ -604,7 +580,7 @@ mod tests {
         values.push(100.0);
         let mean = optimize(&values, &step_ctx());
         assert!((mean.price - 100.0).abs() < 1e-9);
-        let cvar = optimize_with(&values, &step_ctx(), Objective::Cvar(0.5), Candidates::Auto);
+        let cvar = optimize(&values, &PricingCtx { objective: Objective::Cvar(0.5), ..step_ctx() });
         assert!((cvar.price - 5.0).abs() < 1e-9, "cvar price {}", cvar.price);
         // 10 buyers at 5, lowest 5 units all paid → base 5/0.5... the
         // utility reflects the robust statistic, revenue the mean one.
@@ -617,7 +593,8 @@ mod tests {
         // Quantile 0.5 pays only when more than half the interested users
         // buy: price must drop to the median valuation or below.
         let values = [10.0, 8.0, 6.0, 4.0, 2.0];
-        let out = optimize_with(&values, &step_ctx(), Objective::Quantile(0.5), Candidates::Auto);
+        let out =
+            optimize(&values, &PricingCtx { objective: Objective::Quantile(0.5), ..step_ctx() });
         // rank-3 user (of 5) must buy: price ≤ 6, and 6 maximizes m·p.
         assert!((out.price - 6.0).abs() < 1e-9, "price {}", out.price);
         assert_eq!(out.expected_buyers, 3.0);
@@ -632,8 +609,9 @@ mod tests {
                 let mut ctx = step_ctx();
                 ctx.mode = mode;
                 ctx.adoption.gamma = gamma;
-                let mean = optimize_with(&values, &ctx, Objective::Mean, Candidates::Auto);
-                let cvar = optimize_with(&values, &ctx, Objective::Cvar(1.0), Candidates::Auto);
+                let mean = optimize(&values, &PricingCtx { objective: Objective::Mean, ..ctx });
+                let cvar =
+                    optimize(&values, &PricingCtx { objective: Objective::Cvar(1.0), ..ctx });
                 assert_eq!(mean.price.to_bits(), cvar.price.to_bits());
                 assert_eq!(mean.utility.to_bits(), cvar.utility.to_bits());
                 assert_eq!(mean.revenue.to_bits(), cvar.revenue.to_bits());
@@ -641,8 +619,12 @@ mod tests {
         }
         let prices: Vec<f64> = (1..=40).map(|k| k as f64 * 0.9).collect();
         let ctx = step_ctx();
-        let mean = optimize_with(&values, &ctx, Objective::Mean, Candidates::List(&prices));
-        let cvar = optimize_with(&values, &ctx, Objective::Cvar(1.0), Candidates::List(&prices));
+        let mean = optimize_with_price_list(&values, &ctx, &prices);
+        let cvar = optimize_with_price_list(
+            &values,
+            &PricingCtx { objective: Objective::Cvar(1.0), ..ctx },
+            &prices,
+        );
         assert_eq!(mean, cvar);
     }
 
@@ -656,11 +638,9 @@ mod tests {
         base.mode = PriceMode::Grid;
         base.levels = 256;
         for obj in [Objective::Cvar(0.7), Objective::Quantile(0.4)] {
-            let seq =
-                optimize_with(&values, &PricingCtx { threads: 1, ..base }, obj, Candidates::Auto);
+            let seq = optimize(&values, &PricingCtx { threads: 1, objective: obj, ..base });
             for threads in [2, 8] {
-                let par =
-                    optimize_with(&values, &PricingCtx { threads, ..base }, obj, Candidates::Auto);
+                let par = optimize(&values, &PricingCtx { threads, objective: obj, ..base });
                 assert_eq!(par.price.to_bits(), seq.price.to_bits(), "{obj:?} threads={threads}");
                 assert_eq!(
                     par.utility.to_bits(),

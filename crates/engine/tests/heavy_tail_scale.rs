@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revmax_core::objective::Objective;
-use revmax_core::pricing::{optimize_with, Candidates, PriceMode, PricingCtx};
+use revmax_core::pricing::{optimize, PriceMode, PricingCtx};
 use revmax_dataset::TailDist;
 
 #[test]
@@ -25,7 +25,7 @@ fn million_heavy_tail_values_price_finitely_under_every_objective() {
                 ..PricingCtx::from_params(&revmax_core::params::Params::default())
             };
             for objective in [Objective::Mean, Objective::Cvar(0.9), Objective::Quantile(0.5)] {
-                let out = optimize_with(&values, &ctx, objective, Candidates::Auto);
+                let out = optimize(&values, &PricingCtx { objective, ..ctx });
                 assert!(
                     out.price.is_finite() && out.price >= 0.0,
                     "{dist:?}/{mode:?}/{objective:?}: price {}",

@@ -27,7 +27,6 @@
 //! ([`Market::bundle_user_sums`]) uses, which is what makes per-user
 //! results bit-identical to solver-side evaluation.
 
-use crate::kernel::KernelKind;
 use revmax_core::adoption::AdoptionModel;
 use revmax_core::config::{BundleConfig, OfferNode, Strategy};
 use revmax_core::market::Market;
@@ -88,9 +87,6 @@ pub struct MenuIndex {
     /// Worker threads for batched queries (§6 contract: never affects
     /// results). Defaults to the compiled market's resolved count.
     pub(crate) threads: usize,
-    /// Batched-query evaluation kernel (`DESIGN.md` §12). Results are
-    /// bit-identical either way; defaults to the tile kernel.
-    pub(crate) kernel: KernelKind,
     /// Tile-kernel user-block width (0 ⇒ [`crate::kernel::DEFAULT_BLOCK`]).
     /// Never affects results, only cache behavior.
     pub(crate) block: usize,
@@ -165,7 +161,6 @@ impl MenuIndex {
 
         MenuIndex {
             threads: market.threads(),
-            kernel: KernelKind::Tiled,
             block: 0,
             store: Arc::new(MenuStore {
                 shape: Arc::new(MenuShape {
@@ -202,7 +197,6 @@ impl MenuIndex {
         );
         MenuIndex {
             threads: market.threads(),
-            kernel: self.kernel,
             block: self.block,
             store: Arc::new(MenuStore {
                 shape: Arc::clone(&self.store.shape),
@@ -227,23 +221,9 @@ impl MenuIndex {
         self.threads
     }
 
-    /// Select the batched-query evaluation kernel (`DESIGN.md` §12).
-    /// Results are bit-identical for any choice — [`KernelKind::Rows`] is
-    /// the row-at-a-time reference, [`KernelKind::Tiled`] (the default)
-    /// the cache-blocked tile kernel.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> MenuIndex {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The active evaluation kernel.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
     /// Override the tile kernel's user-block width (0 restores
     /// [`crate::kernel::DEFAULT_BLOCK`]). Never affects results, only
-    /// cache behavior; ignored by [`KernelKind::Rows`].
+    /// cache behavior.
     pub fn with_block(mut self, block: usize) -> MenuIndex {
         self.block = block;
         self

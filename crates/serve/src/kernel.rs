@@ -1,11 +1,12 @@
 //! The cache-blocked user×offer tile kernel (`DESIGN.md` §12).
 //!
-//! [`crate::query`]'s historical evaluation is row-at-a-time: scatter one
-//! consumer's WTP row into a per-node accumulator, walk the offer tables,
-//! reset, repeat. Every node's metadata (price, size, child count,
-//! subtree range) is re-loaded per user, the mixed walk allocates a
-//! holdings `Vec` per adopted node, and nothing vectorizes. This module
-//! evaluates a **block** of users at once instead:
+//! The row-at-a-time evaluation ([`crate::reference`]) scatters one
+//! consumer's WTP row into a per-node accumulator, walks the offer
+//! tables, resets, repeats. Every node's metadata (price, size, child
+//! count, subtree range) is re-loaded per user, the mixed walk allocates
+//! a holdings `Vec` per adopted node, and nothing vectorizes. This module
+//! — the only production evaluator behind [`crate::query`] — evaluates a
+//! **block** of users at once instead:
 //!
 //! * **Tile accumulator** — `acc[node × stride + lane]`, node-major, so
 //!   the walk loads one contiguous lane row per node and the whole tile
@@ -13,8 +14,8 @@
 //! * **Lane determinism** — lane assignment is a pure function of index
 //!   (lane `l` of a block holds the block's `l`-th user, blocks split a
 //!   §6 chunk front to back), and every lane's arithmetic is exactly the
-//!   row-walk's: per-user results are bit-identical to [`KernelKind::Rows`]
-//!   at any block size and thread count.
+//!   row-walk's: per-user results are bit-identical to
+//!   [`crate::reference`] at any block size and thread count.
 //! * **Branchless step adoption** — in the step regime (γ ≥
 //!   `Params::STEP_GAMMA`) adoption decisions become sign masks and the
 //!   per-lane state updates compile to selects, with two bit-safety
@@ -48,37 +49,6 @@
 
 use crate::index::MenuStore;
 use revmax_core::config::Strategy;
-
-/// Which batched-query evaluation the index uses. Results are
-/// bit-identical either way (pinned by the proptest parity suite and the
-/// `serve_bench kernel=both` CI leg); the knob exists for A/B timing and
-/// as a reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Row-at-a-time reference evaluation (one user per pass).
-    Rows,
-    /// Cache-blocked tile kernel (this module) — the default.
-    Tiled,
-}
-
-impl KernelKind {
-    /// Lower-case knob name (bench CLI, logs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelKind::Rows => "rows",
-            KernelKind::Tiled => "tiled",
-        }
-    }
-
-    /// Parse a knob value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim() {
-            "rows" => Ok(KernelKind::Rows),
-            "tiled" => Ok(KernelKind::Tiled),
-            other => Err(format!("unknown kernel '{other}' (rows|tiled)")),
-        }
-    }
-}
 
 /// Default user-block width. 512 lanes × 8 bytes = 4 KiB per node row —
 /// a ~100-node tile is ~430 KiB, past L1 but L2-resident, and the sweep
@@ -193,7 +163,7 @@ impl TileScratch {
     /// the node-major tile. Per lane, each node's bundle sum accumulates
     /// in ascending item order — exactly the row-walk's (and the
     /// solver's) accumulation order, which is what keeps lane results
-    /// bit-identical to [`KernelKind::Rows`].
+    /// bit-identical to [`crate::reference`].
     ///
     /// The tile is **not** cleared here: a consuming walk
     /// ([`TileScratch::walk_block`] with `consume`) zeroes every lane it
@@ -588,80 +558,5 @@ impl TileScratch {
         }
         out.reverse();
         out
-    }
-}
-
-#[cfg(test)]
-mod profiling {
-    use super::*;
-    use revmax_core::algorithms::MixedGreedy;
-    use revmax_core::market::Market;
-    use revmax_core::params::Params;
-    use revmax_core::wtp::WtpMatrix;
-
-    /// Scatter-vs-walk phase split on a bench-shaped market. Not a test of
-    /// behavior — run on demand with
-    /// `cargo test --release -p revmax-serve -- --ignored profile_tile --nocapture`.
-    #[test]
-    #[ignore]
-    fn profile_tile_phases() {
-        let n_users = 200_000usize;
-        let n_items = 60usize;
-        let mut state = 0x2015_2015u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let mut gen_rows = |n: usize| -> Vec<Vec<f64>> {
-            (0..n)
-                .map(|_| {
-                    let mut row = vec![0.0; n_items];
-                    for _ in 0..8 {
-                        row[next() as usize % n_items] = 1.0 + (next() % 1000) as f64 / 100.0;
-                    }
-                    row
-                })
-                .collect()
-        };
-        // Solve the menu on a small base market (like serve_bench does),
-        // then serve a large independently-drawn consumer population.
-        let base = Market::new(WtpMatrix::from_rows(gen_rows(120)), Params::default());
-        let outcome = revmax_core::algorithms::Configurator::run(&MixedGreedy::default(), &base);
-        let market = Market::new(WtpMatrix::from_rows(gen_rows(n_users)), Params::default());
-        let index = crate::MenuIndex::compile(&market, &outcome.config);
-        let store = &index.store;
-        println!("menu: {} nodes, {} roots", store.shape.prices.len(), store.shape.roots.len());
-        let users: Vec<u32> = (0..n_users as u32).collect();
-        for &block in &[64usize, 128, 256] {
-            let mut tile = TileScratch::new(store, block);
-            // Scatter + manual un-consumed clear (walk skipped).
-            let t = std::time::Instant::now();
-            for blk in users.chunks(block) {
-                tile.scatter_block(store, blk);
-                tile.acc.iter_mut().for_each(|x| *x = 0.0);
-            }
-            let scatter_clear = t.elapsed();
-            // memset-only baseline, to subtract the clear cost.
-            let t = std::time::Instant::now();
-            for _ in users.chunks(block) {
-                tile.acc.iter_mut().for_each(|x| *x = 0.0);
-            }
-            let clear = t.elapsed();
-            // Full eval (scatter + consuming walk), no collect.
-            let t = std::time::Instant::now();
-            let mut total = 0.0;
-            for blk in users.chunks(block) {
-                tile.eval_block(store, blk, false);
-                for &p in &tile.payments[..blk.len()] {
-                    total += p;
-                }
-            }
-            let full = t.elapsed();
-            println!(
-                "block={block:>4}: scatter {:>7.1?} (clear {clear:.1?})  full {full:>7.1?}  walk ≈ {:?}  [total {total:.2}]",
-                scatter_clear - clear,
-                full - (scatter_clear - clear),
-            );
-        }
     }
 }

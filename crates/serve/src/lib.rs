@@ -50,11 +50,12 @@ pub mod index;
 pub mod kernel;
 pub mod proto;
 pub mod query;
+pub mod reference;
 pub mod swap;
 
 pub use daemon::{Daemon, DaemonConfig, LatencyHistogram};
 pub use index::MenuIndex;
-pub use kernel::{KernelKind, DEFAULT_BLOCK};
+pub use kernel::DEFAULT_BLOCK;
 pub use proto::{DaemonStats, ErrorCode, ProtoError, Request, Response, UserSel};
 pub use query::{
     chunked_payment_fold, solver_user_revenue, Assignment, MarginalRevenue, QueryError,

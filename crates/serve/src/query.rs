@@ -36,11 +36,10 @@
 //! bit-identical at any thread count, equal to the sequential chunked
 //! fold of the per-user payments.
 
-use crate::index::{MenuIndex, MenuStore};
-use crate::kernel::{KernelKind, TileScratch};
-use revmax_core::config::Strategy;
+use crate::index::MenuIndex;
+use crate::kernel::TileScratch;
 use revmax_core::market::Market;
-use revmax_par::{effective_chunk_size, par_chunks_map_reduce, par_index_map};
+use revmax_par::{effective_chunk_size, par_index_map};
 
 /// A query rejected before evaluation. The serving daemon turns these
 /// into protocol error responses; nothing in the query path panics on
@@ -115,34 +114,13 @@ pub struct Assignment {
     pub offers: Vec<u32>,
 }
 
-/// One consumer's holdings while walking a mixed offer tree — the
-/// single-user mirror of [`revmax_core::mixed::UserState`].
-#[derive(Debug, Clone, Copy)]
-struct Hold {
-    /// Raw Σ of item WTPs over held items.
-    sum: f64,
-    /// Amount paid.
-    paid: f64,
-    /// Number of held items.
-    count: u32,
-}
-
-/// Reusable per-worker buffers: the per-node bundle-sum accumulator, the
-/// touched-node reset list, and the tree-walk state stack.
-struct ServeScratch {
-    acc: Vec<f64>,
-    touched: Vec<u32>,
-    stack: Vec<(Option<Hold>, Vec<u32>)>,
-}
-
-impl ServeScratch {
-    fn new(store: &MenuStore) -> Self {
-        ServeScratch {
-            acc: vec![0.0; store.shape.prices.len()],
-            touched: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
+/// The users a batched query covers: an explicit id batch, or every
+/// consumer of the compiled market (ids generated one §6 chunk at a time,
+/// never as a whole-market vector).
+#[derive(Clone, Copy)]
+enum Batch<'a> {
+    Ids(&'a [u32]),
+    All,
 }
 
 impl MenuIndex {
@@ -161,6 +139,104 @@ impl MenuIndex {
         Err(QueryError::UserOutOfRange { user, n_users })
     }
 
+    /// The one §6 chunk driver behind every batched query. Splits the
+    /// batch at [`effective_chunk_size`] boundaries (a pure function of
+    /// its length), fans the chunks out on `revmax-par` with one
+    /// `TileScratch` each, cuts every chunk into tile blocks front to back
+    /// and folds each block into the chunk's state (`init(chunk_len)`).
+    /// Chunk states come back in chunk order, so any ordered fold over
+    /// them is bit-identical at every thread count. Callers validate ids.
+    fn fold_blocks<A: Send>(
+        &self,
+        batch: Batch<'_>,
+        init: impl Fn(usize) -> A + Sync,
+        block_fn: impl Fn(&mut A, &mut TileScratch, &[u32]) + Sync,
+    ) -> Vec<A> {
+        let store = &*self.store;
+        let len = match batch {
+            Batch::Ids(users) => users.len(),
+            Batch::All => store.n_users,
+        };
+        if len == 0 {
+            return Vec::new();
+        }
+        let chunk = effective_chunk_size(len, 0);
+        par_index_map(self.threads, len.div_ceil(chunk), |k| {
+            let (lo, hi) = (k * chunk, ((k + 1) * chunk).min(len));
+            let all_ids: Vec<u32>;
+            let ids = match batch {
+                Batch::Ids(users) => &users[lo..hi],
+                Batch::All => {
+                    all_ids = (lo as u32..hi as u32).collect();
+                    &all_ids
+                }
+            };
+            let mut tile = TileScratch::new(store, self.block);
+            let mut acc = init(ids.len());
+            for blk in ids.chunks(tile.block()) {
+                block_fn(&mut acc, &mut tile, blk);
+            }
+            acc
+        })
+    }
+
+    /// Per-user assignments of a batch, in batch order.
+    fn assignments(&self, batch: Batch<'_>) -> Vec<Assignment> {
+        let store = &*self.store;
+        let parts = self.fold_blocks(batch, Vec::with_capacity, |out, tile, blk| {
+            tile.eval_block(store, blk, true);
+            for (lane, &user) in blk.iter().enumerate() {
+                let offers = tile.take_offers(store, lane);
+                out.push(Assignment { user, payment: tile.payments[lane], offers });
+            }
+        });
+        parts.into_iter().flatten().collect()
+    }
+
+    /// Expected revenue of a batch: each chunk sums its users' payments
+    /// left to right from `+0.0` (blocks front to back, lanes in user
+    /// order), chunk partials fold left to right from `+0.0`.
+    fn revenue(&self, batch: Batch<'_>) -> f64 {
+        let store = &*self.store;
+        let partials = self.fold_blocks(
+            batch,
+            |_| 0.0f64,
+            |total, tile, blk| {
+                tile.eval_block(store, blk, false);
+                for &p in &tile.payments[..blk.len()] {
+                    *total += p;
+                }
+            },
+        );
+        partials.into_iter().fold(0.0f64, |a, s| a + s)
+    }
+
+    /// Base and perturbed revenue of a batch: per block, scatter once and
+    /// walk twice. Both totals fold exactly like [`MenuIndex::revenue`] —
+    /// the base fold is operation-for-operation the revenue fold, the
+    /// perturbed fold the same thing at the perturbed price table.
+    fn marginal(&self, batch: Batch<'_>, perturbed: &[f64]) -> MarginalRevenue {
+        let store = &*self.store;
+        let partials = self.fold_blocks(
+            batch,
+            |_| (0.0f64, 0.0f64),
+            |(base, pert), tile, blk| {
+                tile.scatter_block(store, blk);
+                tile.walk_block(store, &store.shape.prices, blk.len(), false, false);
+                for &p in &tile.payments[..blk.len()] {
+                    *base += p;
+                }
+                tile.walk_block(store, perturbed, blk.len(), false, true);
+                for &p in &tile.payments[..blk.len()] {
+                    *pert += p;
+                }
+            },
+        );
+        let (base, perturbed) =
+            partials.into_iter().fold((0.0f64, 0.0f64), |a, s| (a.0 + s.0, a.1 + s.1));
+        MarginalRevenue { base, perturbed, delta: perturbed - base }
+    }
+
     /// Batched assignment: for every queried user, which menu entries they
     /// adopt (threshold outcome) and their expected payment. Users are
     /// evaluated independently over fixed-size blocks
@@ -170,46 +246,7 @@ impl MenuIndex {
     /// [`QueryError`] — a malformed batch never panics the serving path.
     pub fn try_assign(&self, users: &[u32]) -> Result<Vec<Assignment>, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        if users.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chunk = effective_chunk_size(users.len(), 0);
-        let n_chunks = users.len().div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<Assignment>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(users.len());
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    users[lo..hi]
-                        .iter()
-                        .map(|&u| {
-                            let (payment, offers) = eval_user(store, &mut scratch, u, true);
-                            Assignment { user: u, payment, offers }
-                        })
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in users[lo..hi].chunks(tile.block()) {
-                        tile.eval_block(store, blk, true);
-                        for (lane, &u) in blk.iter().enumerate() {
-                            out.push(Assignment {
-                                user: u,
-                                payment: tile.payments[lane],
-                                offers: tile.take_offers(store, lane),
-                            });
-                        }
-                    }
-                    out
-                }
-            }
-        });
-        Ok(parts.into_iter().flatten().collect())
+        Ok(self.assignments(Batch::Ids(users)))
     }
 
     /// [`MenuIndex::try_assign`], panicking on an invalid batch. Prefer
@@ -226,34 +263,9 @@ impl MenuIndex {
     pub fn try_payments(&self, users: &[u32]) -> Result<Vec<f64>, QueryError> {
         self.validate_users(users)?;
         let store = &*self.store;
-        if users.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chunk = effective_chunk_size(users.len(), 0);
-        let n_chunks = users.len().div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<f64>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(users.len());
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    users[lo..hi]
-                        .iter()
-                        .map(|&u| eval_user(store, &mut scratch, u, false).0)
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in users[lo..hi].chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        out.extend_from_slice(&tile.payments[..blk.len()]);
-                    }
-                    out
-                }
-            }
+        let parts = self.fold_blocks(Batch::Ids(users), Vec::with_capacity, |out, tile, blk| {
+            tile.eval_block(store, blk, false);
+            out.extend_from_slice(&tile.payments[..blk.len()]);
         });
         Ok(parts.into_iter().flatten().collect())
     }
@@ -265,40 +277,7 @@ impl MenuIndex {
     /// out-of-range ids as a typed [`QueryError`] instead of panicking.
     pub fn try_expected_revenue(&self, users: &[u32]) -> Result<f64, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
-        let kernel = self.kernel;
-        let block = self.block;
-        Ok(par_chunks_map_reduce(
-            self.threads,
-            users,
-            0,
-            |chunk| match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    let mut total = 0.0;
-                    for &u in chunk {
-                        total += eval_user(store, &mut scratch, u, false).0;
-                    }
-                    total
-                }
-                KernelKind::Tiled => {
-                    let mut tile = TileScratch::new(store, block);
-                    let mut total = 0.0;
-                    for blk in chunk.chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        // Same ordered left-to-right fold as the row-walk:
-                        // blocks split the chunk front to back, lanes are
-                        // in user order.
-                        for &p in &tile.payments[..blk.len()] {
-                            total += p;
-                        }
-                    }
-                    total
-                }
-            },
-            0.0f64,
-            |a, s| a + s,
-        ))
+        Ok(self.revenue(Batch::Ids(users)))
     }
 
     /// [`MenuIndex::try_expected_revenue`], panicking on an invalid
@@ -308,95 +287,20 @@ impl MenuIndex {
     }
 
     /// [`MenuIndex::expected_revenue`] over every consumer of the
-    /// compiled market, without materializing the id batch: chunk
-    /// boundaries are computed directly over `0..n_users`, reproducing
-    /// `expected_revenue(&all_users())` bit for bit (same
-    /// [`effective_chunk_size`] boundaries, same ordered fold) with zero
-    /// per-call allocation — the daemon's hottest whole-market path.
+    /// compiled market, without materializing the whole-market id batch:
+    /// ids are generated one §6 chunk at a time (one chunk-sized buffer
+    /// per chunk), reproducing `expected_revenue(&all_users())` bit for
+    /// bit (same [`effective_chunk_size`] boundaries, same ordered fold) —
+    /// the daemon's hottest whole-market path.
     pub fn expected_revenue_all(&self) -> f64 {
-        let store = &*self.store;
-        let n = store.n_users;
-        if n == 0 {
-            return 0.0;
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let partials = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    let mut total = 0.0;
-                    for u in lo..hi {
-                        total += eval_user(store, &mut scratch, u as u32, false).0;
-                    }
-                    total
-                }
-                KernelKind::Tiled => {
-                    let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-                    let mut tile = TileScratch::new(store, block);
-                    let mut total = 0.0;
-                    for blk in ids.chunks(tile.block()) {
-                        tile.eval_block(store, blk, false);
-                        for &p in &tile.payments[..blk.len()] {
-                            total += p;
-                        }
-                    }
-                    total
-                }
-            }
-        });
-        partials.into_iter().fold(0.0f64, |a, s| a + s)
+        self.revenue(Batch::All)
     }
 
     /// [`MenuIndex::assign`] over every consumer of the compiled market,
     /// without materializing the id batch (same boundary/fold identity as
     /// [`MenuIndex::expected_revenue_all`]).
     pub fn assign_all(&self) -> Vec<Assignment> {
-        let store = &*self.store;
-        let n = store.n_users;
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let kernel = self.kernel;
-        let block = self.block;
-        let parts: Vec<Vec<Assignment>> = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            match kernel {
-                KernelKind::Rows => {
-                    let mut scratch = ServeScratch::new(store);
-                    (lo..hi)
-                        .map(|u| {
-                            let (payment, offers) = eval_user(store, &mut scratch, u as u32, true);
-                            Assignment { user: u as u32, payment, offers }
-                        })
-                        .collect()
-                }
-                KernelKind::Tiled => {
-                    let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-                    let mut tile = TileScratch::new(store, block);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for blk in ids.chunks(tile.block()) {
-                        tile.eval_block(store, blk, true);
-                        for (lane, &u) in blk.iter().enumerate() {
-                            out.push(Assignment {
-                                user: u,
-                                payment: tile.payments[lane],
-                                offers: tile.take_offers(store, lane),
-                            });
-                        }
-                    }
-                    out
-                }
-            }
-        });
-        parts.into_iter().flatten().collect()
+        self.assignments(Batch::All)
     }
 
     /// Marginal revenue of moving offer node `offer`'s price by `dprice`,
@@ -405,9 +309,6 @@ impl MenuIndex {
     /// [`MenuIndex::try_expected_revenue`] on the same batch, `perturbed`
     /// to recompiling the menu with the single price changed and querying
     /// that — so `delta` is an *exact* finite difference, not an estimate.
-    /// Always evaluated by the tile kernel (the perturbation reuses its
-    /// retained surplus state); the kernel knob only affects which kernel
-    /// answers the ordinary query paths, whose bits agree anyway.
     pub fn try_marginal_revenue(
         &self,
         offer: u32,
@@ -415,21 +316,8 @@ impl MenuIndex {
         users: &[u32],
     ) -> Result<MarginalRevenue, QueryError> {
         self.validate_users(users)?;
-        let store = &*self.store;
         let perturbed = self.perturbed_prices(offer, dprice)?;
-        let block = self.block;
-        let (base, perturbed) = par_chunks_map_reduce(
-            self.threads,
-            users,
-            0,
-            |chunk| {
-                let mut tile = TileScratch::new(store, block);
-                marginal_chunk(store, &mut tile, &perturbed, chunk)
-            },
-            (0.0f64, 0.0f64),
-            |a, s| (a.0 + s.0, a.1 + s.1),
-        );
-        Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
+        Ok(self.marginal(Batch::Ids(users), &perturbed))
     }
 
     /// [`MenuIndex::try_marginal_revenue`] over every consumer of the
@@ -441,25 +329,8 @@ impl MenuIndex {
         offer: u32,
         dprice: f64,
     ) -> Result<MarginalRevenue, QueryError> {
-        let store = &*self.store;
         let perturbed = self.perturbed_prices(offer, dprice)?;
-        let n = store.n_users;
-        if n == 0 {
-            return Ok(MarginalRevenue { base: 0.0, perturbed: 0.0, delta: 0.0 });
-        }
-        let chunk = effective_chunk_size(n, 0);
-        let n_chunks = n.div_ceil(chunk);
-        let block = self.block;
-        let partials = par_index_map(self.threads, n_chunks, |k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(n);
-            let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-            let mut tile = TileScratch::new(store, block);
-            marginal_chunk(store, &mut tile, &perturbed, &ids)
-        });
-        let (base, perturbed) =
-            partials.into_iter().fold((0.0f64, 0.0f64), |a, s| (a.0 + s.0, a.1 + s.1));
-        Ok(MarginalRevenue { base, perturbed, delta: perturbed - base })
+        Ok(self.marginal(Batch::All, &perturbed))
     }
 
     /// The perturbed price table of a marginal-revenue query, or the
@@ -478,32 +349,6 @@ impl MenuIndex {
         prices[offer as usize] = moved;
         Ok(prices)
     }
-}
-
-/// One §6 chunk of a marginal-revenue query: per block, scatter once and
-/// walk twice. Both totals fold left to right in user order — the base
-/// fold is operation-for-operation the [`MenuIndex::try_expected_revenue`]
-/// fold, the perturbed fold the same thing at the perturbed price table.
-fn marginal_chunk(
-    store: &MenuStore,
-    tile: &mut TileScratch,
-    perturbed: &[f64],
-    users: &[u32],
-) -> (f64, f64) {
-    let mut base_total = 0.0f64;
-    let mut pert_total = 0.0f64;
-    for blk in users.chunks(tile.block()) {
-        tile.scatter_block(store, blk);
-        tile.walk_block(store, &store.shape.prices, blk.len(), false, false);
-        for &p in &tile.payments[..blk.len()] {
-            base_total += p;
-        }
-        tile.walk_block(store, perturbed, blk.len(), false, true);
-        for &p in &tile.payments[..blk.len()] {
-            pert_total += p;
-        }
-    }
-    (base_total, pert_total)
 }
 
 /// The exact reduction [`MenuIndex::expected_revenue`] applies to the
@@ -530,157 +375,6 @@ pub fn chunked_payment_fold(payments: &[f64]) -> f64 {
         .fold(0.0f64, |a, s| a + s)
 }
 
-/// Evaluate one consumer against the menu. Returns their expected payment
-/// and (when `collect` is set) the threshold-held offer node ids. The
-/// arithmetic mirrors the solver evaluation operation for operation — see
-/// the module docs for why that yields bit-identical results.
-fn eval_user(
-    store: &MenuStore,
-    scratch: &mut ServeScratch,
-    user: u32,
-    collect: bool,
-) -> (f64, Vec<u32>) {
-    // Public entry points validate the batch up front (`validate_users`),
-    // so the hot loop carries no per-user bounds branch in release builds.
-    debug_assert!(
-        (user as usize) < store.n_users,
-        "user {user} out of range for a {}-consumer market",
-        store.n_users
-    );
-    // Scatter the user's WTP row through the item→offer postings: each
-    // touched node's bundle sum accumulates in ascending item order,
-    // matching the solver's column scatter exactly.
-    let row = store.wtp.row(user);
-    for (i, w) in row.iter() {
-        let (lo, hi) =
-            (store.shape.post_indptr[i as usize], store.shape.post_indptr[i as usize + 1]);
-        for &n in &store.shape.post_nodes[lo..hi] {
-            let slot = &mut scratch.acc[n as usize];
-            if *slot == 0.0 {
-                scratch.touched.push(n);
-            }
-            *slot += w;
-        }
-    }
-
-    let adoption = &store.adoption;
-    let params = &store.params;
-    let node_size =
-        |n: u32| store.shape.node_indptr[n as usize + 1] - store.shape.node_indptr[n as usize];
-    let mut payment = 0.0f64;
-    let mut offers: Vec<u32> = Vec::new();
-    match store.shape.strategy {
-        Strategy::Pure => {
-            // Independent take-it-or-leave-it offers. The zero-sum skip
-            // is bit-safe because the solver never sees zero-sum users
-            // either: `bundle_user_sums` excludes them from an offer's
-            // consumer list outright (crucial under a soft sigmoid, where
-            // an *included* zero-WTP consumer would contribute a positive
-            // probability, not 0.0), and a single-user view of an
-            // uninterested consumer yields `price * 0.0 = +0.0`, which
-            // `x + 0.0 = x` makes equivalent to skipping.
-            for &root in &store.shape.roots {
-                let s = scratch.acc[root as usize];
-                if s == 0.0 {
-                    continue;
-                }
-                let price = store.shape.prices[root as usize];
-                let w = params.set_wtp(s, node_size(root));
-                payment += price * adoption.probability(w, price);
-                if collect && adoption.margin(w, price) >= 0.0 {
-                    offers.push(root);
-                }
-            }
-        }
-        Strategy::Mixed => {
-            // Bottom-up incremental-upgrade walk of each interested tree.
-            // Post-order layout: one forward scan per subtree range, the
-            // stack holding each node's (holdings, held-offer) state.
-            for &root in &store.shape.roots {
-                if scratch.acc[root as usize] == 0.0 {
-                    continue; // no WTP on any item of this tree
-                }
-                debug_assert!(scratch.stack.is_empty());
-                for n in store.shape.subtree_start[root as usize]..=root {
-                    let k = store.shape.n_children[n as usize] as usize;
-                    let price = store.shape.prices[n as usize];
-                    let size = node_size(n);
-                    let state = if k == 0 {
-                        let s = scratch.acc[n as usize];
-                        if s == 0.0 {
-                            (None, Vec::new())
-                        } else {
-                            let w = params.set_wtp(s, size);
-                            if adoption.margin(w, price) >= 0.0 {
-                                let held = Hold { sum: s, paid: price, count: size as u32 };
-                                (Some(held), if collect { vec![n] } else { Vec::new() })
-                            } else {
-                                (None, Vec::new())
-                            }
-                        }
-                    } else {
-                        // Combine the children's holdings in child order —
-                        // the solver's left-to-right merge_states fold.
-                        let base = scratch.stack.len() - k;
-                        let mut combined = Hold { sum: 0.0, paid: 0.0, count: 0 };
-                        let mut any = false;
-                        let mut held_offers: Vec<u32> = Vec::new();
-                        for (h, v) in scratch.stack.drain(base..) {
-                            if let Some(h) = h {
-                                combined.sum += h.sum;
-                                combined.paid += h.paid;
-                                combined.count += h.count;
-                                any = true;
-                                if collect {
-                                    held_offers.extend(v);
-                                }
-                            }
-                        }
-                        let s_b = scratch.acc[n as usize];
-                        if s_b == 0.0 {
-                            (None, Vec::new())
-                        } else {
-                            let (s_held, q, c_held) = if any {
-                                (combined.sum, combined.paid, combined.count as usize)
-                            } else {
-                                (0.0, 0.0, 0)
-                            };
-                            let addon_count = size.saturating_sub(c_held);
-                            let addon_wtp =
-                                params.set_wtp((s_b - s_held).max(0.0), addon_count.max(1));
-                            let margin =
-                                adoption.alpha * addon_wtp - (price - q) + adoption.epsilon;
-                            if margin >= 0.0 {
-                                let held = Hold { sum: s_b, paid: price, count: size as u32 };
-                                (Some(held), if collect { vec![n] } else { Vec::new() })
-                            } else if any {
-                                (Some(combined), held_offers)
-                            } else {
-                                (None, Vec::new())
-                            }
-                        }
-                    };
-                    scratch.stack.push(state);
-                }
-                let (state, held_offers) = scratch.stack.pop().expect("root state");
-                if let Some(h) = state {
-                    payment += h.paid;
-                    if collect {
-                        offers.extend(held_offers);
-                    }
-                }
-            }
-        }
-    }
-
-    // Reset the accumulator for the next user.
-    for &n in &scratch.touched {
-        scratch.acc[n as usize] = 0.0;
-    }
-    scratch.touched.clear();
-    (payment, offers)
-}
-
 /// Solver-side single-consumer reference evaluation: the menu's expected
 /// revenue restricted to one user, computed **entirely by core**
 /// ([`revmax_core::config::BundleConfig::expected_revenue`] on a
@@ -700,7 +394,7 @@ pub fn solver_user_revenue(
 mod tests {
     use super::*;
     use revmax_core::bundle::Bundle;
-    use revmax_core::config::{BundleConfig, OfferNode};
+    use revmax_core::config::{BundleConfig, OfferNode, Strategy};
     use revmax_core::params::Params;
     use revmax_core::wtp::WtpMatrix;
 
@@ -928,22 +622,27 @@ mod tests {
             (0..257).map(|k| vec![(k % 13) as f64 + 0.25, (k % 7) as f64 * 0.5]).collect(),
         );
         let m = Market::new(w, Params::default().with_gamma(1.5));
-        let idx = MenuIndex::compile(&m, &mixed_tree());
-        let users = idx.all_users();
-        let payments = idx.try_payments(&users).unwrap();
-        assert_eq!(payments.len(), users.len());
-        assert_eq!(
-            chunked_payment_fold(&payments).to_bits(),
-            idx.expected_revenue(&users).to_bits()
-        );
-        // Sub-batch identity — the coalescing rule: any request's revenue
-        // folds from the shared per-user payments of the combined batch.
-        let sub = &users[19..193];
-        let sub_payments = &payments[19..193];
-        assert_eq!(
-            chunked_payment_fold(sub_payments).to_bits(),
-            idx.expected_revenue(sub).to_bits()
-        );
+        // Pure sigmoid payments (`price × probability`) are not dyadic, so
+        // their sum pins the fold order, not just the fold's terms.
+        for config in [components(), mixed_tree()] {
+            let idx = MenuIndex::compile(&m, &config);
+            let users = idx.all_users();
+            let payments = idx.try_payments(&users).unwrap();
+            assert_eq!(payments.len(), users.len());
+            assert_eq!(
+                chunked_payment_fold(&payments).to_bits(),
+                idx.expected_revenue(&users).to_bits()
+            );
+            // Sub-batch identity — the coalescing rule: any request's
+            // revenue folds from the shared per-user payments of the
+            // combined batch.
+            let sub = &users[19..193];
+            let sub_payments = &payments[19..193];
+            assert_eq!(
+                chunked_payment_fold(sub_payments).to_bits(),
+                idx.expected_revenue(sub).to_bits()
+            );
+        }
         assert_eq!(chunked_payment_fold(&[]), 0.0);
     }
 }

@@ -18,7 +18,7 @@ use revmax_core::market::Market;
 use revmax_core::params::{Params, Threads};
 use revmax_core::wtp::WtpMatrix;
 use revmax_par::effective_chunk_size;
-use revmax_serve::{solver_user_revenue, KernelKind, MenuIndex};
+use revmax_serve::{reference, solver_user_revenue, MenuIndex};
 
 /// A random dense WTP matrix (entries 0 with ~3/8 probability) plus θ.
 fn arb_dense() -> impl Strategy<Value = (Vec<Vec<f64>>, f64)> {
@@ -133,8 +133,9 @@ proptest! {
         }
     }
 
-    /// The tile kernel is bit-identical to the row-walk — payments AND
-    /// held-offer lists — for every registry configurator (all seven
+    /// The tile kernel is bit-identical to the row-walk reference
+    /// ([`revmax_serve::reference`]) — payments AND held-offer lists, and
+    /// the batched revenue — for every registry configurator (all seven
     /// methods, pure and mixed), at degenerate (1), ragged (3), default
     /// (64), and whole-batch (n) block sizes, at 1/2/8 threads.
     /// `arb_dense` routinely produces all-zero consumer rows, so the
@@ -151,34 +152,38 @@ proptest! {
             let outcome = configurator.run(&market);
             let index = MenuIndex::compile(&market, &outcome.config);
             let users = index.all_users();
-            let rows = index.clone().with_kernel(KernelKind::Rows).assign(&users);
+            let rows = reference::assign(&index, &users);
+            let rows_total = reference::expected_revenue(&index, &users);
             for block in [1usize, 3, 64, n] {
-                let tiled_index =
-                    index.clone().with_kernel(KernelKind::Tiled).with_block(block);
-                let tiled = tiled_index.assign(&users);
-                prop_assert_eq!(tiled.len(), rows.len());
-                for (t, r) in tiled.iter().zip(&rows) {
-                    prop_assert_eq!(t.user, r.user);
+                for threads in [1usize, 2, 8] {
+                    let tiled_index = index.clone().with_block(block).with_threads(threads);
+                    let tiled = tiled_index.assign(&users);
+                    prop_assert_eq!(tiled.len(), rows.len());
+                    for (t, r) in tiled.iter().zip(&rows) {
+                        prop_assert_eq!(t.user, r.user);
+                        prop_assert_eq!(
+                            t.payment.to_bits(), r.payment.to_bits(),
+                            "{} block {} threads {}: user {} tiled {} vs rows {}",
+                            method, block, threads, t.user, t.payment, r.payment
+                        );
+                        prop_assert_eq!(
+                            &t.offers, &r.offers,
+                            "{} block {}: user {} offer lists diverge", method, block, t.user
+                        );
+                    }
                     prop_assert_eq!(
-                        t.payment.to_bits(), r.payment.to_bits(),
-                        "{} block {}: user {} tiled {} vs rows {}",
-                        method, block, t.user, t.payment, r.payment
-                    );
-                    prop_assert_eq!(
-                        &t.offers, &r.offers,
-                        "{} block {}: user {} offer lists diverge", method, block, t.user
-                    );
-                    // ... and both equal the solver-side bits.
-                    prop_assert_eq!(
-                        t.payment.to_bits(),
-                        solver_user_revenue(&market, &outcome.config, t.user).to_bits()
+                        tiled_index.expected_revenue(&users).to_bits(),
+                        rows_total.to_bits(),
+                        "{} block {} threads {}", method, block, threads
                     );
                 }
-                let total = tiled_index.expected_revenue(&users);
-                for threads in [2usize, 8] {
-                    let t = tiled_index.clone().with_threads(threads);
-                    prop_assert_eq!(t.expected_revenue(&users).to_bits(), total.to_bits());
-                }
+            }
+            // ... and the reference equals the solver-side bits.
+            for r in &rows {
+                prop_assert_eq!(
+                    r.payment.to_bits(),
+                    solver_user_revenue(&market, &outcome.config, r.user).to_bits()
+                );
             }
         }
     }
