@@ -12,7 +12,13 @@
 //! * [`mine_maximal`] — MAFIA-style DFS over the set-enumeration tree with
 //!   dynamic tail reordering, parent-equivalence pruning (PEP), FHUT
 //!   (frequent head-union-tail shortcut) and HUTMFI (subsumption-based
-//!   subtree pruning).
+//!   subtree pruning). At absolute support 1 no search runs: an itemset is
+//!   then frequent exactly when some transaction contains it, so the
+//!   maximal frequent itemsets are exactly the distinct non-empty
+//!   transactions no other transaction strictly contains, each with its
+//!   number of copies as support, and the miner returns those. The
+//!   paper's 0.1% support is absolute support 1 on every market of at
+//!   most 1 000 consumers; MAFIA runs at every support ≥ 2.
 //! * [`mine_frequent`] — Eclat-style DFS enumerating *all* frequent
 //!   itemsets (with an explosion guard).
 //! * [`apriori`] — textbook levelwise reference implementation (Agrawal &

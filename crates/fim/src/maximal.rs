@@ -1,7 +1,23 @@
-//! MAFIA-style maximal frequent itemset mining.
+//! Maximal frequent itemset mining: a direct read-off at absolute support
+//! 1, MAFIA-style search at every higher support.
 //!
-//! Depth-first search over the set-enumeration tree with the three classic
-//! MAFIA prunings (Burdick, Calimlim, Gehrke — ICDM'01):
+//! **Support 1.** An itemset is frequent at absolute support 1 exactly when
+//! some transaction contains it. A frequent set that is not itself a
+//! transaction is a strict subset of the transaction that contains it, and
+//! so is not maximal; a transaction that is a strict subset of another is
+//! not maximal either. So the maximal frequent itemsets are exactly the
+//! distinct, non-empty transactions that are not a strict subset of another
+//! transaction, and each one's support is its number of identical copies
+//! (any transaction containing a maximal transaction equals it). The
+//! read-off rebuilds the rows, visits the distinct ones longest first and
+//! keeps a row unless an already kept row contains it, testing that with
+//! one bitmap per item over the kept rows: O(T · |t| · T/64) for T
+//! transactions of length |t|, with no search. On markets of at most 1 000
+//! consumers the paper's 0.1% support *is* support 1.
+//!
+//! **Support ≥ 2** runs a depth-first search over the set-enumeration tree
+//! with the three classic MAFIA prunings (Burdick, Calimlim, Gehrke —
+//! ICDM'01):
 //!
 //! * **PEP** (parent equivalence pruning): a tail item whose conditional
 //!   support equals the prefix's support belongs to *every* maximal superset
@@ -16,7 +32,8 @@
 //! Correctness of emission-time subsumption checking follows from the
 //! left-to-right exploration order: any maximal superset of an emitted
 //! candidate lives in an earlier subtree (see the module tests, which
-//! cross-check against a filter over Eclat's full output).
+//! cross-check against a filter over Eclat's full output, and the support-1
+//! read-off against this search and against the definition).
 
 use crate::{Bitmap, Itemset, TransactionDb};
 use revmax_par::par_index_map;
@@ -39,9 +56,68 @@ pub fn mine_maximal(db: &TransactionDb, minsup: u32) -> Vec<Itemset> {
 /// up to `threads` workers. Output is bit-identical to the sequential
 /// miner at any thread count: the intersections are independent, their
 /// tail order is preserved, and the PEP/emission logic stays sequential
-/// (`DESIGN.md` §6).
+/// (`DESIGN.md` §6). At `minsup == 1` the maximal transactions are read
+/// off directly (see the module docs) and `threads` is unused.
 pub fn mine_maximal_with_threads(db: &TransactionDb, minsup: u32, threads: usize) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be >= 1");
+    if minsup == 1 {
+        maximal_transactions(db)
+    } else {
+        mafia(db, minsup, threads)
+    }
+}
+
+/// The maximal frequent itemsets at absolute support 1: the distinct,
+/// non-empty transactions that no other transaction strictly contains,
+/// each with its multiplicity as support, sorted by items.
+fn maximal_transactions(db: &TransactionDb) -> Vec<Itemset> {
+    // Rows from the item bitmaps; items arrive ascending.
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); db.n_transactions()];
+    for item in 0..db.n_items() as u32 {
+        for t in db.item_bitmap(item).iter_ones() {
+            rows[t].push(item);
+        }
+    }
+    rows.retain(|r| !r.is_empty());
+    // Longest first: every strict superset of a row comes before it, and
+    // identical rows sit next to each other.
+    rows.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+
+    let mut kept: Vec<Itemset> = Vec::new();
+    // For each item, the bitmap (over `kept` indices) of kept rows holding
+    // it, grown a word at a time as rows are kept.
+    let mut holding: Vec<Vec<u64>> = vec![Vec::new(); db.n_items()];
+    for row in rows {
+        if let Some(last) = kept.last_mut() {
+            if last.items == row {
+                last.support += 1;
+                continue;
+            }
+        }
+        // A row is subsumed iff some kept row holds all its items. A strict
+        // superset that was itself dropped sits inside a kept row, so the
+        // kept rows suffice.
+        let words = row.iter().map(|&i| holding[i as usize].len()).min().unwrap_or(0);
+        let subsumed = (0..words).any(|w| {
+            row.iter().map(|&i| holding[i as usize][w]).fold(!0u64, |acc, x| acc & x) != 0
+        });
+        if subsumed {
+            continue;
+        }
+        let (word, bit) = (kept.len() / 64, kept.len() % 64);
+        for &i in &row {
+            let h = &mut holding[i as usize];
+            h.resize(h.len().max(word + 1), 0);
+            h[word] |= 1u64 << bit;
+        }
+        kept.push(Itemset { items: row, support: 1 });
+    }
+    kept.sort_unstable_by(|a, b| a.items.cmp(&b.items));
+    kept
+}
+
+/// The MAFIA search (module docs), exact at any `minsup ≥ 1`.
+fn mafia(db: &TransactionDb, minsup: u32, threads: usize) -> Vec<Itemset> {
     let roots: Vec<(u32, Bitmap, u32)> = (0..db.n_items() as u32)
         .filter_map(|i| {
             let bm = db.item_bitmap(i);
@@ -102,13 +178,14 @@ struct Miner {
 impl Miner {
     /// Is `candidate` (sorted) a subset of any found maximal set?
     fn subsumed(&self, candidate: &[u32]) -> bool {
-        let Some(&probe) = candidate.first() else { return !self.found.is_empty() };
-        // Scan only the sets containing the first item (fewest on average
-        // after reordering, and any superset must contain it).
-        self.index
-            .sets_with(probe)
-            .iter()
-            .any(|&si| crate::is_subset(candidate, &self.found[si as usize].items))
+        // Any superset contains every candidate item, so scan only the sets
+        // holding the candidate's rarest item among the found sets.
+        let Some(probe) =
+            candidate.iter().map(|&i| self.index.sets_with(i)).min_by_key(|s| s.len())
+        else {
+            return !self.found.is_empty();
+        };
+        probe.iter().any(|&si| crate::is_subset(candidate, &self.found[si as usize].items))
     }
 
     fn emit(&mut self, items: Vec<u32>, support: u32) {
@@ -165,47 +242,38 @@ impl Miner {
             let parent_sup = bm.count();
             let mut pep_moved: Vec<u32> = Vec::new();
             let mut child_tail: Vec<(u32, Bitmap, u32)> = Vec::new();
-            let mut child_bm = bm.clone();
             // The independent tidset intersections of this node, fanned out
-            // over workers for wide tails; PEP classification stays
+            // over workers for wide tails. Each is counted first; only a
+            // frequent extension that is not PEP gets its bitmap (a PEP
+            // extension's bitmap equals `bm`). PEP classification stays
             // sequential in tail order, so the child tail is identical to
             // the sequential construction.
+            let minsup = self.minsup;
+            let extend = |(jtem, jbm, _): &(u32, Bitmap, u32)| {
+                let nsup = bm.and_count(jbm);
+                let nbm = (nsup >= minsup && nsup < parent_sup).then(|| bm.and(jbm));
+                (*jtem, nbm, nsup)
+            };
             let exts = &tail[idx + 1..];
-            let intersected: Vec<(u32, Bitmap, u32)> =
+            let intersected: Vec<(u32, Option<Bitmap>, u32)> =
                 if self.threads > 1 && exts.len() >= PAR_FANOUT_MIN {
-                    par_index_map(self.threads, exts.len(), |j| {
-                        let (jtem, jbm, _) = &exts[j];
-                        let nbm = bm.and(jbm);
-                        let nsup = nbm.count();
-                        (*jtem, nbm, nsup)
-                    })
+                    par_index_map(self.threads, exts.len(), |j| extend(&exts[j]))
                 } else {
-                    exts.iter()
-                        .map(|(jtem, jbm, _)| {
-                            let nbm = bm.and(jbm);
-                            let nsup = nbm.count();
-                            (*jtem, nbm, nsup)
-                        })
-                        .collect()
+                    exts.iter().map(extend).collect()
                 };
             for (jtem, nbm, nsup) in intersected {
-                if nsup < self.minsup {
-                    continue;
-                }
-                if nsup == parent_sup {
+                match nbm {
+                    Some(nbm) => child_tail.push((jtem, nbm, nsup)),
                     // PEP: jtem occurs in every transaction of the prefix.
-                    pep_moved.push(jtem);
-                    child_bm.and_assign(&nbm); // no-op on support, keeps bitmap consistent
-                } else {
-                    child_tail.push((jtem, nbm, nsup));
+                    None if nsup == parent_sup => pep_moved.push(jtem),
+                    None => {} // infrequent
                 }
             }
             prefix.extend_from_slice(&pep_moved);
             child_tail.sort_by_key(|t| t.2);
-            // PEP items' bitmaps equal the prefix bitmap, but child_tail
-            // bitmaps were conditioned on `bm` only; re-condition on the PEP
-            // items is a no-op because their tid-sets contain bm's.
-            self.search(prefix, Some(&child_bm), child_tail);
+            // The PEP items' tid-sets contain bm's, so bm stays the prefix
+            // bitmap and child_tail needs no re-conditioning on them.
+            self.search(prefix, Some(bm), child_tail);
             prefix.truncate(prefix.len() - 1 - pep_moved.len());
         }
     }
@@ -323,6 +391,131 @@ mod tests {
         assert_eq!(seq, mine_maximal(&db, 20));
         for threads in [2, 4, 7] {
             assert_eq!(mine_maximal_with_threads(&db, 20, threads), seq, "threads={threads}");
+        }
+    }
+
+    /// The definition at support 1, by brute force over every itemset of
+    /// the (≤ 16-item) universe: the sets some transaction contains that no
+    /// single-item extension keeps frequent, with their supports.
+    fn brute_support_one(db: &TransactionDb) -> Vec<Itemset> {
+        let n = db.n_items();
+        assert!(n <= 16);
+        let mut rows = vec![0u32; db.n_transactions()];
+        for i in 0..n {
+            for t in db.item_bitmap(i as u32).iter_ones() {
+                rows[t] |= 1 << i;
+            }
+        }
+        let support = |m: u32| rows.iter().filter(|&&r| r & m == m).count() as u32;
+        let mut out: Vec<Itemset> = (1u32..1 << n)
+            .filter(|&m| support(m) >= 1)
+            .filter(|&m| (0..n).all(|i| m & (1 << i) != 0 || support(m | (1 << i)) == 0))
+            .map(|m| Itemset {
+                items: (0..n as u32).filter(|&i| m & (1 << i) != 0).collect(),
+                support: support(m),
+            })
+            .collect();
+        out.sort_by(|a, b| a.items.cmp(&b.items));
+        out
+    }
+
+    /// The support-1 read-off equals MAFIA's search driven at support 1
+    /// and the brute-force definition, at every thread count.
+    fn check_support_one(db: &TransactionDb) -> Vec<Itemset> {
+        let want = brute_support_one(db);
+        for threads in [1, 2, 8] {
+            assert_eq!(mine_maximal_with_threads(db, 1, threads), want, "threads={threads}");
+            assert_eq!(mafia(db, 1, threads), want, "MAFIA at threads={threads}");
+        }
+        want
+    }
+
+    #[test]
+    fn support_one_reads_off_maximal_transactions() {
+        // Items 7 and 8 have zero support; item 6 is a maximal singleton.
+        let db = TransactionDb::from_transactions(
+            9,
+            &[
+                vec![0, 1, 2],
+                vec![],
+                vec![0, 1],    // nested in {0,1,2}
+                vec![1, 2, 3], // shares {1,2} with {0,1,2}
+                vec![0, 1, 2], // duplicate: support 2
+                vec![6],
+                vec![4, 5],
+                vec![5],       // nested in {4,5}
+                vec![1, 2, 3], // duplicate: support 2
+                vec![],
+            ],
+        );
+        let got = check_support_one(&db);
+        let sets: Vec<(Vec<u32>, u32)> = got.into_iter().map(|s| (s.items, s.support)).collect();
+        assert_eq!(
+            sets,
+            vec![(vec![0, 1, 2], 2), (vec![1, 2, 3], 2), (vec![4, 5], 1), (vec![6], 1)]
+        );
+    }
+
+    #[test]
+    fn support_one_spans_many_words_of_kept_rows() {
+        // Kept longest first: the 126 5-subsets of items 0..9 (words 0 and
+        // 1 of the kept-row bitmaps), then the nine rows {a,9,10,11} (words
+        // 1 and 2). The nested rows {a,9}, {a,10,11} and {9,10,11} lie only
+        // inside those late rows, so dropping them needs the later words;
+        // some 3-subsets of 0..9 nest in the early rows. Some rows repeat,
+        // item 12 is a maximal singleton and item 13 has zero support.
+        let mut txs: Vec<Vec<u32>> = Vec::new();
+        for m in 0u32..1 << 9 {
+            let row: Vec<u32> = (0..9).filter(|&i| m & (1 << i) != 0).collect();
+            match row.len() {
+                5 if m % 7 == 0 => txs.extend([row.clone(), row]),
+                5 => txs.push(row),
+                3 if m % 4 == 0 => txs.push(row),
+                _ => {}
+            }
+        }
+        for a in 0..9 {
+            txs.extend([vec![a, 9, 10, 11], vec![a, 9], vec![a, 10, 11]]);
+        }
+        txs.extend([vec![8, 9, 10, 11], vec![9, 10, 11], vec![12], vec![]]);
+        txs.reverse(); // short rows first in the input
+        let db = TransactionDb::from_transactions(14, &txs);
+        let got = check_support_one(&db);
+        assert_eq!(got.len(), 126 + 9 + 1);
+        assert!(got.iter().any(|s| s.items == [8, 9, 10, 11] && s.support == 2));
+        assert!(got.iter().all(|s| s.items.len() >= 4 || s.items == [12]));
+    }
+
+    #[test]
+    fn support_one_random_cross_check() {
+        // Dense and sparse pseudo-random databases with many duplicates.
+        let mut state = 7u64;
+        for (n_items, n_tx, density) in [(6usize, 200usize, 5u64), (12, 120, 3), (16, 300, 1)] {
+            let txs: Vec<Vec<u32>> = (0..n_tx)
+                .map(|_| {
+                    (0..n_items as u32)
+                        .filter(|_| {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (state >> 33) % 10 < density
+                        })
+                        .collect()
+                })
+                .collect();
+            check_support_one(&TransactionDb::from_transactions(n_items, &txs));
+        }
+    }
+
+    #[test]
+    fn support_one_edge_databases() {
+        for db in [
+            TransactionDb::from_transactions(3, &[]),
+            TransactionDb::from_transactions(3, &[vec![], vec![]]),
+            TransactionDb::from_transactions(0, &[vec![], vec![]]),
+            TransactionDb::from_transactions(2, &vec![vec![0, 1]; 70]),
+        ] {
+            check_support_one(&db);
         }
     }
 }
